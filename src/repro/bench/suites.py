@@ -13,10 +13,9 @@ CI gate (``scripts/bench_gate.py``):
 * **wall-clock rates** — every key ending in ``_per_s``. These measure
   the host and are only ratio-compared, within a generous tolerance.
 
-The suites are the same workloads the pre-harness ``benchmarks/smoke.py``
-and ``benchmarks/bench_chaos.py`` ran (same default seeds 7 / 13 / 0),
-so the first committed trajectory is continuous with historical CI
-artifact numbers.
+The suites keep the default seeds (7 / 13 / 0) of the benchmark
+scripts that preceded the harness, so the committed trajectory is
+continuous with historical CI artifact numbers.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ reproduces that design over simulated in-process servers:
   mutating operations;
 * :mod:`~repro.distributed.errors` — the typed error hierarchy
   (transient :class:`RetryableError` subtypes vs. hard failures);
-* :mod:`~repro.distributed.faults` — the fault-injecting fabric:
-  :class:`FaultPlan` schedules, :class:`FaultyRouter`,
-  :class:`RetryPolicy`;
+* :mod:`~repro.distributed.faults` — fault injection:
+  :class:`FaultPlan` schedules, the :class:`FaultyTransport` decorator
+  (over the in-process fabric or a real wire), :class:`RetryPolicy`;
 * :mod:`~repro.distributed.replication` — primary/backup WAL shipping,
   the failure detector behind automatic failover, and live shard
   migration (:class:`ReplicationPolicy`, :class:`Replicator`,
@@ -59,7 +59,7 @@ from .errors import (
     ShardUnavailableError,
     UnknownShardError,
 )
-from .faults import FaultPlan, FaultyRouter, RetryPolicy
+from .faults import FaultPlan, FaultyTransport, RetryPolicy
 from .messages import Op, Reply
 from .replication import (
     FailureDetector,
@@ -79,7 +79,7 @@ __all__ = [
     "FailoverError",
     "FailureDetector",
     "FaultPlan",
-    "FaultyRouter",
+    "FaultyTransport",
     "MessageLostError",
     "Migration",
     "Op",

@@ -29,7 +29,7 @@ from ..obs.flight import FLIGHT
 from ..obs.tracer import TRACER
 from .coordinator import Cluster, ShardPolicy
 from .errors import ConfigurationError
-from .faults import FaultPlan, FaultyRouter, RetryPolicy
+from .faults import FaultPlan, FaultyTransport, RetryPolicy
 from .replication import ReplicationPolicy
 
 __all__ = ["ChaosReport", "run_chaos", "chaos_table"]
@@ -188,10 +188,10 @@ def run_chaos(
     server on a Unix-domain socket: the cluster sits behind a
     :class:`~repro.serving.server.ServingServer` and the plan is
     replayed client-side by a
-    :class:`~repro.serving.faults.FaultyRemoteTransport`, so every op,
-    fault and crash traverses real frames and the codec. Tracing is not
-    supported there (server-side events would interleave from another
-    thread).
+    :class:`~repro.distributed.faults.FaultyTransport` around the
+    wire transport, so every op, fault and crash traverses real frames
+    and the codec. Tracing is not supported there (server-side events
+    would interleave from another thread).
 
     ``replication`` (a mode string or a
     :class:`~repro.distributed.replication.ReplicationPolicy`) runs
@@ -293,46 +293,31 @@ def _run_chaos(
         # never sees ShardUnavailableError (which would make "did it
         # apply?" ambiguous and break the oracle mirroring).
         retry = RetryPolicy(max_retries=12, base_delay=0.005, max_delay=0.5)
+    # Over UDS the cluster keeps the plain in-process router (a real
+    # asyncio server executes ops locally) and the plan is replayed
+    # client-side over live frames. Sharing the cluster's registry puts
+    # client retry counters and server dedup/crash counters in the one
+    # place the report reads.
+    cluster = Cluster(
+        shards=shards,
+        bucket_capacity=bucket_capacity,
+        shard_policy=ShardPolicy(shard_capacity=shard_capacity),
+        durable=durable,
+        faults=plan if transport == "sim" else None,
+        retry=retry,
+        trie_backend=trie_backend,
+        replication=replication,
+    )
     fixture = None
     if transport == "uds":
-        # A real asyncio server on a Unix socket: the cluster keeps the
-        # plain in-process router (the server executes ops locally) and
-        # the plan is replayed client-side over live frames. Sharing
-        # the cluster's registry puts client retry counters and server
-        # dedup/crash counters in the one place the report reads.
         from ..serving import ServingFixture
 
-        cluster = Cluster(
-            shards=shards,
-            bucket_capacity=bucket_capacity,
-            shard_policy=ShardPolicy(shard_capacity=shard_capacity),
-            durable=durable,
-            retry=retry,
-            trie_backend=trie_backend,
-            replication=replication,
-        )
         fixture = ServingFixture(cluster)
         client, fabric = fixture.open_file(
             plan=plan, retry=retry, registry=cluster.registry
         )
-        # The failure detector lives server-side; the client's simulated
-        # clock drives it through ``tick`` controls (see faults module).
-        fabric.replicated = replication is not None
     else:
-        cluster = Cluster(
-            shards=shards,
-            bucket_capacity=bucket_capacity,
-            shard_policy=ShardPolicy(shard_capacity=shard_capacity),
-            durable=durable,
-            faults=plan,
-            retry=retry,
-            trie_backend=trie_backend,
-            replication=replication,
-        )
-        fabric = cluster.router
-        if not isinstance(fabric, FaultyRouter):
-            raise AssertionError("chaos needs the fault-injecting router")
-        client = cluster.client()
+        client, fabric = cluster.client(), cluster.router
     oracle = THFile(bucket_capacity=bucket_capacity)
     try:
         return _drive_chaos(
@@ -395,7 +380,7 @@ def _advance_migrations(coordinator) -> int:
 def _drive_chaos(
     plan: FaultPlan,
     cluster: Cluster,
-    fabric,
+    fabric: FaultyTransport,
     client,
     oracle: THFile,
     ops: int,
@@ -571,9 +556,9 @@ def _drive_chaos(
         if entry["shard"] == sid
     ]
     report.failover_mttr = round(sum(lag) / len(lag), 6) if lag else 0.0
-    # Forwards happen server-side either way; over the wire the client
-    # transport never sees them, so read the cluster's own router.
-    report.forwards = getattr(fabric, "forwards", cluster.router.forwards)
+    # Forwards happen server-side either way, so read the cluster's
+    # own router (over the wire the client transport never sees them).
+    report.forwards = cluster.router.forwards
     report.clock = fabric.now
     report.converged = True
     if report.duplicate_applies:

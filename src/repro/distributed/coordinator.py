@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # import cycle: client builds on the coordinator
     from .client import DistributedFile
@@ -266,10 +266,12 @@ class Coordinator:
     def tick(self, now: float) -> list[int]:
         """Run one health-probe sweep on the caller's clock.
 
-        Wired to the fabric clock in simulation
-        (``FaultyRouter._tick``), to the ``tick`` control frame over a
-        wire transport, and to a wall-clock asyncio loop in the serving
-        tier. Returns the shard ids deposed by this sweep.
+        Wired to the fault injector's clock: every
+        ``FaultyTransport`` tick runs it in process, and over a wire
+        the ``tick`` control frame carries the same clock while a shard
+        the client crashed is down. The serving tier can also drive it
+        from a wall-clock asyncio loop. Returns the shard ids deposed by
+        this sweep.
         """
         if self.detector is None:
             return []
@@ -561,11 +563,11 @@ class Cluster:
         A shared :class:`~repro.obs.metrics.MetricsRegistry`; a private
         one is created when omitted.
     faults:
-        A :class:`~repro.distributed.faults.FaultPlan`; when given the
-        cluster's fabric is a fault-injecting
-        :class:`~repro.distributed.faults.FaultyRouter` driving message
-        drops, duplicates, delays and server crashes off the plan's
-        seeded schedule.
+        A :class:`~repro.distributed.faults.FaultPlan`; when given,
+        :attr:`router` is a
+        :class:`~repro.distributed.faults.FaultyTransport` around the
+        in-process fabric, driving message drops, duplicates, delays
+        and server crashes off the plan's seeded schedule.
     retry:
         The default :class:`~repro.distributed.faults.RetryPolicy`
         handed to clients (each :meth:`client` call may override it).
@@ -604,12 +606,12 @@ class Cluster:
                 "replication must be a ReplicationPolicy, "
                 "'semisync'/'async', or None"
             )
+        fabric = Router(self.registry)
+        self.router: Any = fabric
         if faults is not None:
-            from .faults import FaultyRouter
+            from .faults import FaultyTransport
 
-            self.router: Router = FaultyRouter(self.registry, faults)
-        else:
-            self.router = Router(self.registry)
+            self.router = FaultyTransport(fabric, faults)
         self.coordinator = Coordinator(
             alphabet,
             self.registry,
@@ -619,9 +621,9 @@ class Cluster:
             replication=replication,
         )
         if replication is not None:
-            # Failure detection rides the fabric clock: every tick of a
-            # clock-bearing transport runs one health-probe sweep.
-            self.router.on_tick = self.coordinator.tick
+            # Failure detection rides the fault injector's clock: every
+            # tick runs one health-probe sweep.
+            fabric.on_tick = self.coordinator.tick
         self._clients = 0
         if seed_boundaries is None:
             seed_boundaries = self._even_boundaries(shards)

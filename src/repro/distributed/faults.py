@@ -1,10 +1,12 @@
 """Fault injection for the TH* message fabric.
 
 The distributed analogue of :class:`~repro.storage.faults.FaultyDisk`:
-:class:`FaultyRouter` wraps the delivery path of
-:class:`~repro.distributed.router.Router` with a seeded deterministic
-:class:`FaultPlan` that injects, per edge kind (``request`` / ``reply``
-/ ``forward``) and per shard:
+:class:`FaultyTransport` decorates any
+:class:`~repro.distributed.transport.Transport` — the in-process
+:class:`~repro.distributed.router.InProcessTransport` or the wire
+:class:`~repro.serving.client.RemoteTransport` — with a seeded
+deterministic :class:`FaultPlan` that injects, per edge kind
+(``request`` / ``reply`` / ``forward`` / ``replicate``) and per shard:
 
 * **drops** — the message never arrives; the sender sees
   :class:`~repro.distributed.errors.MessageLostError`. A dropped
@@ -13,7 +15,7 @@ The distributed analogue of :class:`~repro.storage.faults.FaultyDisk`:
   request-id dedup protocol.
 * **duplicates** — the request is delivered twice; the second delivery
   must be absorbed by the owner's dedup window.
-* **delays** — delivery takes simulated time on the router's logical
+* **delays** — delivery takes simulated time on the injector's logical
   clock; a round trip whose total elapsed time (request, forward and
   reply delays alike) exceeds the client's per-op ``timeout`` surfaces
   as :class:`~repro.distributed.errors.OpTimeoutError` (with the same
@@ -27,10 +29,13 @@ The distributed analogue of :class:`~repro.storage.faults.FaultyDisk`:
   :class:`~repro.distributed.errors.ServerDownError` until its
   scheduled restart time on the simulated clock.
 
-Time is simulated: the clock only advances through injected delays and
-through clients sleeping out their retry backoff
-(:meth:`FaultyRouter.sleep`), which is also what brings crashed servers
-back — a client backing off long enough rides out any finite downtime.
+Time is simulated, even over a real socket: the clock only advances
+through injected delays and through clients sleeping out their retry
+backoff (:meth:`FaultyTransport.sleep`), which is also what brings
+crashed servers back — a client backing off long enough rides out any
+finite downtime. Over a wire, injection sits client-side, where a real
+deployment's faults are observable: the server cannot tell "request
+never sent" from "request lost en route".
 
 Every injected fault is counted in ``dist_faults_total{kind,edge}`` and
 (tracing on) emitted as a ``net_fault`` event, so a chaos run can be
@@ -42,19 +47,16 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
-from .codec import decode_op, encode_op, roundtrip_reply
 from .errors import (
     ConfigurationError,
     MessageLostError,
     OpTimeoutError,
-    UnknownShardError,
+    ServerDownError,
 )
 from .messages import Op, Reply
-from .router import Router
 
-__all__ = ["FaultPlan", "FaultDecision", "FaultyRouter", "RetryPolicy"]
+__all__ = ["FaultPlan", "FaultDecision", "FaultyTransport", "RetryPolicy"]
 
 #: The edge kinds a plan can schedule faults on.
 EDGES = ("request", "reply", "forward", "replicate")
@@ -218,22 +220,49 @@ class FaultPlan:
         return None
 
 
-class FaultyRouter(Router):
-    """A :class:`Router` whose deliveries run under a :class:`FaultPlan`."""
+class FaultyTransport:
+    """Any transport whose deliveries run under a :class:`FaultPlan`.
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        plan: Optional[FaultPlan] = None,
-    ):
-        super().__init__(registry)
+    ``inner`` is the fabric that actually carries messages: the
+    in-process :class:`~repro.distributed.router.InProcessTransport` or
+    the wire :class:`~repro.serving.client.RemoteTransport`. The
+    injector owns everything a fault schedule needs once, for both: the
+    simulated clock, the restart schedule, the fault accounting and the
+    dice sequence of every delivery. The inner fabric supplies two small
+    surfaces:
+
+    * **lifecycle** — ``crash(shard)`` / ``restart(shard)`` (each True
+      when it changed a server's state), ``restore_all()`` and
+      ``tick(now)``, its own failure-detection rule;
+    * **delivery legs** — ``check_up(shard, edge)`` raises
+      :class:`~repro.distributed.errors.ServerDownError` for a shard
+      known to be down, ``deliveries(edge, source, target, op)`` yields
+      the raw reply of each delivery of the same ``op`` to ``target``
+      (the injector pulls a second one for a duplicate), and
+      ``receive(reply)`` brings a reply back.
+
+    Forward and replicate legs are injected whenever the inner fabric
+    routes them here, which the in-process one does (its servers hold
+    this object as their router); over a wire they run server-side.
+    Every other attribute — servers, message counters, the apply audit,
+    the control plane — is the inner fabric's.
+    """
+
+    def __init__(self, inner, plan: Optional[FaultPlan] = None):
+        self.inner = inner
         self.plan = plan if plan is not None else FaultPlan()
         #: The simulated clock (seconds); advances only through injected
-        #: delays and client backoff sleeps.
+        #: delays and client backoff sleeps, never with real latency.
         self.now = 0.0
         self.faults_injected = 0
         self.crash_cycles = 0
         self._restart_at: dict[int, float] = {}
+        #: The last refusal counted: one raised by a nested forward or
+        #: replicate leg crosses the outer leg too, and counts once.
+        self._refused: Optional[ServerDownError] = None
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
     # Clock and lifecycle
@@ -244,101 +273,89 @@ class FaultyRouter(Router):
         self._tick()
 
     def _tick(self) -> None:
-        """Restart due servers, then run the failure-detection hook."""
+        """Restart due servers, then run the inner failure detection."""
         due = [s for s, at in self._restart_at.items() if at <= self.now]
         for shard_id in due:
             del self._restart_at[shard_id]
-            server = self.servers.get(shard_id)
-            # The id may have been rebound to a promoted server in the
-            # meantime — a live server must not be bounced by the dead
-            # one's leftover restart schedule.
-            if server is not None and server.down:
-                server.restart()
-        if self.on_tick is not None:
-            self.on_tick(self.now)
+            # A no-op when the id was rebound to a live promoted server
+            # in the meantime: the dead one's schedule must not bounce it.
+            self.inner.restart(shard_id)
+        self.inner.tick(self.now)
 
-    def crash_server(self, shard_id: int, downtime: Optional[float] = None) -> None:
+    def crash_server(self, shard_id: int, downtime: Optional[float] = None) -> bool:
         """Crash ``shard_id``; auto-restart after ``downtime`` sim-seconds.
 
-        With ``downtime=None`` the server stays down until someone calls
-        its :meth:`~repro.distributed.server.ShardServer.restart`.
+        With ``downtime=None`` the server stays down until someone
+        restarts it. Returns False (and schedules nothing) when the
+        server was already down.
         """
-        server = self.servers.get(shard_id)
-        if server is None:
-            raise UnknownShardError(f"no server for shard {shard_id}")
-        if server.down:
-            return
-        server.crash()
+        if not self.inner.crash(shard_id):
+            return False
         self.crash_cycles += 1
         if downtime is not None:
             self._restart_at[shard_id] = self.now + downtime
+        return True
 
     def restore_all(self) -> None:
         """Restart every crashed server immediately (end of a chaos run)."""
         self._restart_at.clear()
-        for server in self.servers.values():
-            if server.down:
-                server.restart()
+        self.inner.restore_all()
 
     # ------------------------------------------------------------------
     # Fault bookkeeping
     # ------------------------------------------------------------------
     def _fault(self, kind: str, edge: str, shard: int) -> None:
         self.faults_injected += 1
-        self.registry.counter(
+        self.inner.registry.counter(
             "dist_faults_total", {"kind": kind, "edge": edge}
         ).inc()
         if TRACER.enabled:
             TRACER.emit("net_fault", kind=kind, edge=edge, shard=shard)
 
-    def _lookup(self, shard_id: int, edge: str = "request"):
-        from .errors import ServerDownError
-
-        try:
-            return super()._lookup(shard_id, edge)
-        except ServerDownError:
-            self._fault("server_down", edge, shard_id)
-            raise
-
     def _maybe_crash(self, shard_id: int) -> None:
         downtime = self.plan.decide_crash(shard_id)
-        if downtime is not None:
+        if downtime is not None and self.crash_server(shard_id, downtime):
             self._fault("crash", "request", shard_id)
-            self.crash_server(shard_id, downtime=downtime)
 
     # ------------------------------------------------------------------
     # Delivery under faults
     # ------------------------------------------------------------------
+    def _send(self, edge: str, source: Optional[int], target: int, op: Op):
+        """One leg to ``target`` under the plan; the raw inner reply."""
+        try:
+            self.inner.check_up(target, edge)
+            decision = self.plan.decide(edge, target)
+            if decision.drop:
+                self._fault("drop", edge, target)
+                raise MessageLostError(f"{edge} to shard {target} lost")
+            if decision.delay:
+                self._fault("delay", edge, target)
+                self.now += decision.delay
+            copies = self.inner.deliveries(edge, source, target, op)
+            reply = next(copies)
+            if decision.duplicate:
+                # The fabric delivered the same bytes twice; the second
+                # execution must be absorbed by the owner's dedup window
+                # (on a shipping leg, by the backup's sequence numbers).
+                self._fault("duplicate", edge, target)
+                reply = next(copies)
+        except ServerDownError as exc:
+            if exc is not self._refused:
+                self._refused = exc
+                self._fault("server_down", edge, target)
+            raise
+        return reply
+
     def client_send(
         self, shard_id: int, op: Op, timeout: Optional[float] = None
     ) -> Reply:
         self._tick()
         self._maybe_crash(shard_id)
-        server = self._lookup(shard_id, "request")
-        decision = self.plan.decide("request", shard_id)
-        if decision.drop:
-            self._fault("drop", "request", shard_id)
-            raise MessageLostError(f"request to shard {shard_id} lost")
         # The per-op deadline is measured on the clock across the whole
         # delivery: request delay, any forward-leg delays the handler
-        # incurs (they advance ``self.now`` inside ``handle``), and the
-        # reply delay all count against ``timeout``.
+        # incurs, and the reply delay all count against ``timeout``.
         sent_at = self.now
-        if decision.delay:
-            self._fault("delay", "request", shard_id)
-            self.now += decision.delay
-        self._count("request")
-        # One encode per logical send: a duplicated delivery hands the
-        # server a second decode of the *same bytes*, exactly what a
-        # network duplicate looks like.
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
-        if decision.duplicate:
-            # The fabric delivered the request twice; the second
-            # execution must be absorbed by the owner's dedup window.
-            self._fault("duplicate", "request", shard_id)
-            self._count("request")
-            reply = server.handle(decode_op(wire))
+        reply = self._send("request", None, shard_id, op)
         back = self.plan.decide("reply", shard_id)
         if back.drop:
             # The op executed; the client just never hears about it.
@@ -354,34 +371,11 @@ class FaultyRouter(Router):
             raise OpTimeoutError(
                 f"shard {shard_id} answered in {elapsed:.4f}s > {timeout:.4f}s"
             )
-        self._count("reply")
-        return roundtrip_reply(reply)
+        return self.inner.receive(reply)
 
     def forward(self, source: int, target: int, op: Op) -> Reply:
         self._tick()
-        server = self._lookup(target, "forward")
-        decision = self.plan.decide("forward", target)
-        if decision.drop:
-            self._fault("drop", "forward", target)
-            raise MessageLostError(f"forward {source}->{target} lost")
-        if decision.delay:
-            self._fault("delay", "forward", target)
-            self.now += decision.delay
-        self._count("forward")
-        self.forwards += 1
-        self.registry.counter(
-            "dist_forwards_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("forward", src=source, dst=target, op=op.kind)
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
-        if decision.duplicate:
-            self._fault("duplicate", "forward", target)
-            self._count("forward")
-            reply = server.handle(decode_op(wire))
-        self._count("reply")
-        reply = roundtrip_reply(reply)
+        reply = self.inner.receive(self._send("forward", source, target, op))
         reply.forwards += 1
         return reply
 
@@ -394,25 +388,4 @@ class FaultyRouter(Router):
         replay — the replication-protocol mirror of the client-edge
         dedup guarantee.
         """
-        server = self._lookup(target, "replicate")
-        decision = self.plan.decide("replicate", target)
-        if decision.drop:
-            self._fault("drop", "replicate", target)
-            raise MessageLostError(f"ship {source}->{target} lost")
-        if decision.delay:
-            self._fault("delay", "replicate", target)
-            self.now += decision.delay
-        self._count("replicate")
-        self.registry.counter(
-            "dist_replicate_total", {"src": source, "dst": target}
-        ).inc()
-        if TRACER.enabled:
-            TRACER.emit("replicate", src=source, dst=target, op=op.kind)
-        wire = encode_op(op)
-        reply = server.handle(decode_op(wire))
-        if decision.duplicate:
-            self._fault("duplicate", "replicate", target)
-            self._count("replicate")
-            reply = server.handle(decode_op(wire))
-        self._count("reply")
-        return roundtrip_reply(reply)
+        return self.inner.receive(self._send("replicate", source, target, op))

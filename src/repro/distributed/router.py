@@ -26,17 +26,22 @@ the forwarding server and the forwarding server's reply to the client.
 
 This base transport is a perfect fabric — no losses, no delays, no
 failures beyond an explicitly crashed server (which refuses connections
-with :class:`~repro.distributed.errors.ServerDownError`). The
-fault-injecting variant lives in :mod:`repro.distributed.faults`.
+with :class:`~repro.distributed.errors.ServerDownError`). Faults come
+from wrapping it in :class:`~repro.distributed.faults.FaultyTransport`,
+which drives it through a lifecycle surface (``crash``, ``restart``,
+``restore_all``, ``tick``) and separate delivery legs (``check_up``,
+``deliveries``, ``receive``). The fault-free ``client_send``,
+``forward`` and ``replicate`` never go through those.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Any, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACER
-from .codec import roundtrip_op, roundtrip_reply
+from .codec import decode_op, encode_op, roundtrip_op, roundtrip_reply
 from .errors import ServerDownError, UnknownShardError
 from .messages import Op, Reply
 
@@ -48,17 +53,17 @@ class InProcessTransport:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.servers: dict[int, object] = {}
+        self.servers: dict[int, Any] = {}
         self.messages = 0
         self.forwards = 0
         #: Audit trail: request id -> number of times it *applied*.
         #: Exactly-once holds iff every count is 1 (the chaos harness
         #: and the serving differential both assert this).
         self.apply_counts: dict[tuple[int, int], int] = {}
-        #: Failure-detection hook: called with the fabric clock on every
-        #: tick of a clock-bearing transport (``Cluster`` wires it to
+        #: Failure-detection hook: called with the fault injector's clock
+        #: on every :meth:`tick` (``Cluster`` wires it to
         #: ``Coordinator.tick`` when replication is on). The perfect
-        #: fabric has no clock, so it fires only from subclasses.
+        #: fabric has no clock, so it fires only under a fault injector.
         self.on_tick = None
 
     def register(self, server: Any) -> None:
@@ -93,6 +98,86 @@ class InProcessTransport:
         if getattr(server, "down", False):
             raise ServerDownError(f"shard {shard_id} is down ({edge} refused)")
         return server
+
+    # ------------------------------------------------------------------
+    # Server lifecycle (a fault injector's clock drives it; so do the
+    # serving tier's crash / restart / restore_all controls)
+    # ------------------------------------------------------------------
+    def crash(self, shard_id: int) -> bool:
+        """Crash the server behind ``shard_id``; False if already down."""
+        server = self.servers.get(shard_id)
+        if server is None:
+            raise UnknownShardError(f"no server for shard {shard_id}")
+        if server.down:
+            return False
+        server.crash()
+        return True
+
+    def restart(self, shard_id: int) -> bool:
+        """Restart the server behind ``shard_id``; False if it is up.
+
+        Looked up by id, so failover aliases resolve: a rebound id must
+        never bounce the live promoted server now answering for it.
+        """
+        server = self.servers.get(shard_id)
+        if server is None or not server.down:
+            return False
+        server.restart()
+        return True
+
+    def restore_all(self) -> int:
+        """Restart every crashed server; the number restarted."""
+        restored = 0
+        for server in self.servers.values():
+            if server.down:
+                server.restart()
+                restored += 1
+        return restored
+
+    def tick(self, now: float) -> None:
+        """One clock tick: runs the failure-detection hook, if wired."""
+        if self.on_tick is not None:
+            self.on_tick(now)
+
+    # ------------------------------------------------------------------
+    # Delivery legs (a fault injector rolls its dice between them)
+    # ------------------------------------------------------------------
+    def check_up(self, shard_id: int, edge: str) -> None:
+        """Refuse ``edge`` to a down (or never-seen) shard, typed."""
+        self._lookup(shard_id, edge)
+
+    def deliveries(
+        self, edge: str, source: Optional[int], target: int, op: Op
+    ) -> Iterator[Reply]:
+        """Each delivery of ``op`` to ``target``: its raw reply.
+
+        Per-edge accounting is that of :meth:`client_send`,
+        :meth:`forward` and :meth:`replicate`, with every delivery
+        counted as a message. One encode per logical send: a duplicated
+        delivery hands the server a second decode of the *same bytes*,
+        exactly what a network duplicate looks like.
+        """
+        server = self._lookup(target, edge)
+        if edge == "forward":
+            self.forwards += 1
+            self.registry.counter(
+                "dist_forwards_total", {"src": source, "dst": target}
+            ).inc()
+        elif edge == "replicate":
+            self.registry.counter(
+                "dist_replicate_total", {"src": source, "dst": target}
+            ).inc()
+        if source is not None and TRACER.enabled:
+            TRACER.emit(edge, src=source, dst=target, op=op.kind)
+        wire = encode_op(op)
+        while True:
+            self._count(edge)
+            yield server.handle(decode_op(wire))
+
+    def receive(self, reply: Reply) -> Reply:
+        """The reply leg of a delivery: counted, codec-copied."""
+        self._count("reply")
+        return roundtrip_reply(reply)
 
     # ------------------------------------------------------------------
     # Fault-tolerance hooks (the clock never moves on the perfect fabric)

@@ -8,13 +8,13 @@ assumes the shards live in its process — so the same client code runs
 over:
 
 * :class:`~repro.distributed.router.InProcessTransport` (the historical
-  ``Router``) — synchronous, in-process, with a simulated clock; and
-  its fault-injecting subclass
-  :class:`~repro.distributed.faults.FaultyRouter`;
+  ``Router``) — synchronous and in-process;
 * :class:`~repro.serving.client.RemoteTransport` — a real asyncio
   TCP/UDS connection speaking the length-prefixed frame protocol of
-  :mod:`repro.distributed.codec`; and its fault-injecting wrapper
-  :class:`~repro.serving.faults.FaultyRemoteTransport`.
+  :mod:`repro.distributed.codec`;
+* :class:`~repro.distributed.faults.FaultyTransport` — a decorator
+  around either of the two that runs every delivery under a seeded
+  fault plan on a simulated clock.
 
 Every implementation must preserve two semantic contracts:
 

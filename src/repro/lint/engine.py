@@ -49,11 +49,8 @@ META_UNUSED_SUPPRESSION = "LINT002"
 #: Codes owned by the whole-program pass (:mod:`repro.lint.flow`).
 #: The per-file pass leaves their suppressions alone — it cannot judge
 #: staleness for findings it does not compute — and the flow engine
-#: applies them (``TH009`` is the retired per-file rule, kept as an
-#: alias for its flow successor ``TH010``).
-FLOW_CODES = frozenset(
-    {"TH009", "TH010", "TH011", "TH012", "TH013", "TH014"}
-)
+#: applies them.
+FLOW_CODES = frozenset({"TH010", "TH011", "TH012", "TH013", "TH014"})
 
 _DISABLE_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)"

@@ -12,8 +12,7 @@ SCC-incremental analyzer observes (and what the cache tests assert on).
 Findings can be silenced two ways, both requiring a justification:
 
 * the same inline ``# repro-lint: disable=CODE -- why`` comments the
-  per-file pass uses (``TH009`` is kept as an alias for ``TH010`` so
-  suppressions written against the retired per-file rule keep working);
+  per-file pass uses;
 * a reviewed baseline file (``lint-baseline.json``) for grandfathered
   findings. A baseline entry that matches nothing is *stale* and errors
   like ``LINT002``; an entry without a justification errors like
@@ -58,12 +57,6 @@ __all__ = [
 DEFAULT_CACHE = ".repro-lint-cache.json"
 DEFAULT_BASELINE = "lint-baseline.json"
 CACHE_VERSION = 1
-
-#: Retired per-file codes that forward to their flow successor: a
-#: suppression (or baseline entry) written against the alias silences
-#: the successor at the same site.
-CODE_ALIASES = {"TH009": "TH010"}
-
 
 @dataclass
 class FlowStats:
@@ -193,11 +186,7 @@ def _apply_suppressions(
         for suppression in suppressions.get(violation.path, []):
             if violation.line != suppression["line"]:
                 continue
-            codes = {
-                CODE_ALIASES.get(code, code)
-                for code in suppression["codes"]
-            }
-            if violation.code in codes:
+            if violation.code in suppression["codes"]:
                 used.add((violation.path, suppression["comment_line"]))
                 matched = True
         if not matched:
@@ -243,9 +232,8 @@ def _apply_baseline(
     for violation in violations:
         matched = False
         for index, entry in enumerate(entries):
-            code = entry.get("code", "")
             if (
-                violation.code in (code, CODE_ALIASES.get(code))
+                violation.code == entry.get("code")
                 and violation.path == entry.get("path")
                 and violation.line == entry.get("line")
             ):

@@ -9,8 +9,7 @@ analysis — registered via :func:`repro.lint.engine.rule`.
 ``TH009`` (blocking calls inside serving coroutines) used to live here
 as a direct-call check; it is retired in favor of the interprocedural
 ``TH010`` in :mod:`repro.lint.flow.rules`, which catches the same calls
-through any sync helper chain. Existing ``disable=TH009`` suppressions
-keep working — the flow engine treats the code as an alias for TH010.
+through any sync helper chain.
 """
 
 from __future__ import annotations

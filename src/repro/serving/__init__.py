@@ -8,9 +8,9 @@ Unix-domain socket, and :class:`RemoteTransport` is a synchronous
 :class:`~repro.distributed.transport.Transport` facade, so the same
 :class:`~repro.distributed.client.DistributedFile` — image routing,
 IAM patching, retries, request-id dedup — runs unmodified over a real
-wire. :class:`FaultyRemoteTransport` replays
-:class:`~repro.distributed.faults.FaultPlan` schedules over that wire,
-so the chaos differential holds against live sockets too.
+wire. Wrapped in a :class:`~repro.distributed.faults.FaultyTransport`,
+it replays :class:`~repro.distributed.faults.FaultPlan` schedules over
+that wire, so the chaos differential holds against live sockets too.
 
 See ``docs/SERVING.md`` for the frame format and protocol contract.
 """
@@ -23,7 +23,6 @@ from .client import (
     RemoteTransport,
     connect,
 )
-from .faults import FaultyRemoteTransport
 from .frames import DEFAULT_MAX_FRAME, read_frame
 from .server import ServingServer
 from .testing import ServingFixture
@@ -35,7 +34,6 @@ __all__ = [
     "RemoteSession",
     "RemoteTransport",
     "connect",
-    "FaultyRemoteTransport",
     "DEFAULT_MAX_FRAME",
     "read_frame",
     "ServingServer",

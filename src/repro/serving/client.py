@@ -28,6 +28,7 @@ import concurrent.futures
 import struct
 import threading
 import time
+from collections.abc import Iterator
 from typing import Any, Optional
 
 from ..core.alphabet import Alphabet
@@ -47,6 +48,7 @@ from ..distributed.errors import (
     MessageLostError,
     OpTimeoutError,
     ProtocolError,
+    ServerDownError,
 )
 from ..distributed.faults import RetryPolicy
 from ..distributed.messages import Op, Reply
@@ -237,6 +239,11 @@ class RemoteTransport:
     a sync method on the caller's thread, not a coroutine): over a real
     wire, retry backoff and latency measurement are wall-clock facts,
     not simulation state.
+
+    Wrapped in a :class:`~repro.distributed.faults.FaultyTransport`, it
+    is driven instead through the injector's lifecycle surface, spoken
+    as control frames (``crash`` / ``restart`` / ``restore_all`` /
+    ``tick``), and its delivery legs. The injector then owns the clock.
     """
 
     def __init__(
@@ -252,6 +259,10 @@ class RemoteTransport:
         self.wall_timeout = wall_timeout
         #: Roundtrips completed through this transport (request+reply).
         self.messages = 0
+        #: Shards this client crashed that are still down to it.
+        self._down: set[int] = set()
+        #: Whether the server runs a failure detector (from ``hello``).
+        self._detector = False
 
     @property
     def now(self) -> float:
@@ -271,6 +282,12 @@ class RemoteTransport:
             self.conn.control(command), self.wall_timeout
         )
 
+    def hello(self) -> dict:
+        """Introduce this client: alphabet, first shard, client id."""
+        answer = self.control({"cmd": "hello"})
+        self._detector = answer["replicated"]
+        return answer
+
     def client_send(
         self, shard_id: int, op: Op, timeout: Optional[float] = None
     ) -> Reply:
@@ -281,6 +298,64 @@ class RemoteTransport:
             self.conn.request(shard_id, op, timeout), wall
         )
         self.messages += 2
+        return reply
+
+    # ------------------------------------------------------------------
+    # Server lifecycle, as control frames
+    # ------------------------------------------------------------------
+    def crash(self, shard_id: int) -> bool:
+        crashed = self.control({"cmd": "crash", "shard": shard_id})
+        if crashed:
+            self._down.add(shard_id)
+        return crashed
+
+    def restart(self, shard_id: int) -> bool:
+        self._down.discard(shard_id)
+        return self.control({"cmd": "restart", "shard": shard_id})
+
+    def restore_all(self) -> int:
+        self._down.clear()
+        return self.control({"cmd": "restore_all"})
+
+    def tick(self, now: float) -> None:
+        """Hand ``now`` to the server's failure detector, if it has one.
+
+        Only while a shard this client crashed is down: nothing else
+        can depose a primary. Ids a promoted backup answers for are no
+        longer down to us.
+        """
+        if self._detector and self._down:
+            status = self.control({"cmd": "tick", "now": now})
+            self._down.difference_update(status["promoted"])
+
+    # ------------------------------------------------------------------
+    # Delivery legs (only the request edge crosses this wire)
+    # ------------------------------------------------------------------
+    def check_up(self, shard_id: int, edge: str) -> None:
+        if shard_id in self._down:
+            raise ServerDownError(f"shard {shard_id} is down ({edge} refused)")
+
+    def deliveries(
+        self, edge: str, source: Optional[int], target: int, op: Op
+    ) -> Iterator[Reply]:
+        """One real roundtrip of ``op`` per reply pulled.
+
+        The wall deadline is a hung-server backstop only: the per-op
+        deadline is enforced on the injector's simulated clock.
+        """
+        while True:
+            try:
+                reply = self.runner.call(
+                    self.conn.request(target, op, self.wall_timeout),
+                    self.wall_timeout * 2,
+                )
+            except ConnectionError as exc:
+                raise MessageLostError(f"connection failed: {exc}") from None
+            self.messages += 1
+            yield reply
+
+    def receive(self, reply: Reply) -> Reply:
+        self.messages += 1
         return reply
 
 
@@ -357,7 +432,7 @@ class RemoteSession:
             self.runner.stop()
             raise
         self.transport = RemoteTransport(self.runner, self.conn, registry)
-        hello = self.transport.control({"cmd": "hello"})
+        hello = self.transport.hello()
         self.cluster = RemoteCluster(
             self.transport,
             Alphabet(hello["alphabet"]),

@@ -90,8 +90,9 @@ class ServingServer:
     cluster:
         The cluster to front. Its router should be the plain
         :class:`~repro.distributed.router.InProcessTransport` — fault
-        injection belongs on the *client* side of a real wire (see
-        :class:`repro.serving.faults.FaultyRemoteTransport`), where
+        injection belongs on the *client* side of a real wire (a
+        :class:`~repro.distributed.faults.FaultyTransport` around the
+        client's :class:`~repro.serving.client.RemoteTransport`), where
         drops and delays are visible to the retry loop under test.
     max_queue:
         Bound of the shared op queue — the backpressure valve.
@@ -406,35 +407,18 @@ class ServingServer:
                 "first_shard": min(coordinator.servers),
                 "shards": len(coordinator.servers),
                 "client_id": self._next_client,
+                # A failure detector needs a clock: a fault-injecting
+                # client then hands it its own through ``tick``.
+                "replicated": coordinator.detector is not None,
             }
         if cmd == "crash":
-            # Looked up through the router so failover aliases resolve:
-            # after a promotion the dead id addresses the promoted
-            # server, exactly as over the in-process fabric.
-            server = self.router.servers.get(command["shard"])
-            if server is None or server.down:
-                return False
-            server.crash()
-            return True
+            # Through the router so failover aliases resolve: after a
+            # promotion the dead id addresses the promoted server.
+            return self.router.crash(command["shard"])
         if cmd == "restart":
-            server = self.router.servers.get(command["shard"])
-            # A rebound id must never bounce the live promoted server
-            # answering for it (mirrors FaultyRouter's restart guard).
-            if server is None or not server.down:
-                return False
-            server.restart()
-            return True
+            return self.router.restart(command["shard"])
         if cmd == "restore_all":
-            restored = 0
-            backups = getattr(coordinator, "replicas", {})
-            for server in [
-                *coordinator.servers.values(),
-                *backups.values(),
-            ]:
-                if server.down:
-                    server.restart()
-                    restored += 1
-            return restored
+            return self.router.restore_all()
         if cmd == "tick":
             # The chaos client's simulated clock, handed to the failure
             # detector; the reply tells the client which dead ids a

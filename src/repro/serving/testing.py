@@ -20,11 +20,11 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.alphabet import Alphabet
 from ..distributed.client import DistributedFile
-from ..distributed.faults import FaultPlan, RetryPolicy
+from ..distributed.faults import FaultPlan, FaultyTransport, RetryPolicy
 from ..obs.metrics import MetricsRegistry
 from .client import (
     DEFAULT_WALL_TIMEOUT,
@@ -34,7 +34,6 @@ from .client import (
     RemoteSession,
     RemoteTransport,
 )
-from .faults import FaultyRemoteTransport
 from .server import ServingServer
 
 __all__ = ["ServingFixture"]
@@ -114,26 +113,20 @@ class ServingFixture:
         """A ``(DistributedFile, transport)`` pair over this server.
 
         With a ``plan`` the transport is a
-        :class:`~repro.serving.faults.FaultyRemoteTransport`, which is
-        how the chaos harness runs its schedules over a real socket;
-        without one it is a plain :class:`RemoteTransport`. Passing the
-        server-side cluster's registry makes client and server counters
-        land in one place, which is what the chaos report reads.
+        :class:`~repro.distributed.faults.FaultyTransport` around the
+        :class:`RemoteTransport`, which is how the chaos harness runs
+        its schedules over a real socket; without one it is the plain
+        :class:`RemoteTransport`. Passing the server-side cluster's
+        registry makes client and server counters land in one place,
+        which is what the chaos report reads.
         """
         runner, conn = self.open_conn()
-        if plan is None:
-            transport = RemoteTransport(
-                runner, conn, registry=registry, wall_timeout=wall_timeout
-            )
-        else:
-            transport = FaultyRemoteTransport(
-                runner,
-                conn,
-                plan=plan,
-                registry=registry,
-                wall_timeout=wall_timeout,
-            )
-        hello = transport.control({"cmd": "hello"})
+        transport: Any = RemoteTransport(
+            runner, conn, registry=registry, wall_timeout=wall_timeout
+        )
+        if plan is not None:
+            transport = FaultyTransport(transport, plan)
+        hello = transport.hello()
         remote = RemoteCluster(
             transport, Alphabet(hello["alphabet"]), hello["first_shard"]
         )

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 from repro import Cluster, DuplicateKeyError, ShardPolicy
 from repro.distributed import (
     FaultPlan,
-    FaultyRouter,
+    FaultyTransport,
     MessageLostError,
     OpTimeoutError,
     RetryPolicy,
@@ -38,6 +38,7 @@ from repro.distributed import (
 )
 from repro.distributed.chaos import chaos_table
 from repro.distributed.messages import Op
+from repro.serving import ServingFixture
 from repro.storage.dedup import DedupWindow
 
 
@@ -342,6 +343,17 @@ class TestChaos:
         b = run_chaos(ops=600, seed=11, crash_cycles=2, shard_capacity=128)
         assert a.as_dict() == b.as_dict()
 
+    def test_chaos_is_deterministic_over_uds(self):
+        a = run_chaos(
+            ops=600, seed=11, crash_cycles=2, shard_capacity=128,
+            transport="uds",
+        )
+        b = run_chaos(
+            ops=600, seed=11, crash_cycles=2, shard_capacity=128,
+            transport="uds",
+        )
+        assert a.as_dict() == b.as_dict()
+
     def test_chaos_with_scans(self):
         report = run_chaos(
             ops=400,
@@ -372,6 +384,106 @@ class TestChaos:
         assert rows[0]["faults"] == 0
         assert rows[1]["faults"] > 0
         assert all(r["dup_applies"] == 0 for r in rows)
+
+
+# ======================================================================
+# Pinned per-seed reports: the oracle's exact counters, per transport
+# ======================================================================
+#: Two acceptance scenarios: the serving chaos run (seed 9: drops,
+#: duplicates, delays, crash-restart cycles, scans) and the replicated
+#: one (seed 7: semisync backups, two primary kills, one live
+#: migration).
+_PINNED_SCENARIOS = {
+    "seed9": dict(
+        ops=400, shards=2, seed=9, durable=True, drop=0.02,
+        duplicate=0.02, delay=0.02, crash_cycles=2, shard_capacity=64,
+        scan_every=80,
+    ),
+    "seed7": dict(
+        ops=400, shards=3, seed=7, durable=True, drop=0.01,
+        duplicate=0.01, delay=0.01, crash_cycles=0, shard_capacity=128,
+        replication="semisync", kill_cycles=2, migrate_cycles=1,
+    ),
+}
+
+#: ``ChaosReport.as_dict()`` of each scenario on each transport. Every
+#: field is a deterministic function of the seed, so any change to the
+#: fault injector's dice sequence, clock, restart schedule or accounting
+#: moves a number here. Each transport is pinned against itself: only
+#: the in-process fabric carries forward and replicate legs the plan can
+#: fault, so sim and UDS differ by design.
+_PINNED_REPORTS = {
+    ("seed9", "sim"): dict(
+        ops=400, seed=9, shards=5, records=187, faults=67, retries=39,
+        dedup_hits=13, crashes=2, recoveries=2, duplicate_applies=0,
+        messages=840, forwards=2, clock=0.9988788677572957,
+        converged=True, kills=0, failovers=0, migrations=0,
+        failover_mttr=0.0,
+    ),
+    ("seed9", "uds"): dict(
+        ops=400, seed=9, shards=5, records=187, faults=65, retries=39,
+        dedup_hits=14, crashes=2, recoveries=2, duplicate_applies=0,
+        messages=839, forwards=2, clock=0.8405810432176428,
+        converged=True, kills=0, failovers=0, migrations=0,
+        failover_mttr=0.0,
+    ),
+    ("seed7", "sim"): dict(
+        ops=400, seed=7, shards=3, records=228, faults=46, retries=20,
+        dedup_hits=3, crashes=2, recoveries=0, duplicate_applies=0,
+        messages=1516, forwards=3, clock=1.3755725234218774,
+        converged=True, kills=2, failovers=2, migrations=1,
+        failover_mttr=0.432061,
+    ),
+    ("seed7", "uds"): dict(
+        ops=400, seed=7, shards=3, records=228, faults=37, retries=21,
+        dedup_hits=6, crashes=2, recoveries=0, duplicate_applies=0,
+        messages=881, forwards=3, clock=1.225966685989256,
+        converged=True, kills=2, failovers=2, migrations=1,
+        failover_mttr=0.44804,
+    ),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("scenario,transport", sorted(_PINNED_REPORTS))
+    def test_report_matches_pin(self, scenario, transport):
+        report = run_chaos(
+            transport=transport, **_PINNED_SCENARIOS[scenario]
+        )
+        assert report.as_dict() == _PINNED_REPORTS[(scenario, transport)]
+
+
+# ======================================================================
+# Crash-fault accounting, on both inner fabrics
+# ======================================================================
+class TestCrashFaultAccounting:
+    @pytest.mark.parametrize("transport", ["sim", "uds"])
+    def test_one_crash_fault_per_real_crash(self, transport):
+        # Every delivery rolls crash=1.0, but only the first finds the
+        # shard live; the rest must count as refusals, not as crashes.
+        plan = FaultPlan(seed=1, crash=1.0, downtime=(5.0, 5.0))
+        if transport == "sim":
+            cluster = Cluster(shards=1, durable=True, faults=plan)
+            fixture = None
+            fabric = cluster.router
+        else:
+            cluster = Cluster(shards=1, durable=True)
+            fixture = ServingFixture(cluster)
+            _file, fabric = fixture.open_file(plan=plan)
+        assert isinstance(fabric, FaultyTransport)
+        try:
+            for _ in range(3):
+                with pytest.raises(ServerDownError):
+                    fabric.client_send(0, Op.get("a"))
+            crash_faults = fabric.registry.counter(
+                "dist_faults_total", {"kind": "crash", "edge": "request"}
+            ).value
+            assert fabric.crash_cycles == 1
+            assert crash_faults == fabric.crash_cycles
+            assert fabric.faults_injected == 1 + 3  # one crash, 3 refusals
+        finally:
+            if fixture is not None:
+                fixture.close()
 
 
 # ======================================================================

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, lint_file, lint_paths, lint_source
+from repro.lint import FLOW_CODES, all_rules, lint_file, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,7 +18,6 @@ CORE = "repro/core/_fixture.py"
 DISTRIBUTED = "repro/distributed/_fixture.py"
 ANALYSIS = "repro/analysis/_fixture.py"
 CLI_LAYER = "repro/_fixture.py"  # in scope for repro/ rules, out of core/
-SERVING = "repro/serving/_fixture.py"
 
 
 def codes(violations):
@@ -116,15 +115,9 @@ def test_th004_exempts_storage_layer():
 
 def test_th009_is_retired_from_the_per_file_pass():
     # TH009 moved to the whole-program pass as TH010 (a coroutine's
-    # *helpers* can block too); the per-file engine no longer runs it,
-    # but a lingering suppression for it must not trip LINT002 —
-    # the flow pass owns flow-code suppressions.
+    # *helpers* can block too); neither pass knows the old code.
     assert "TH009" not in {r.code for r in all_rules()}
-    lingering = (
-        "import time\n\nasync def flush(conn):\n"
-        "    time.sleep(0.1)  # repro-lint: disable=TH009 -- facade\n"
-    )
-    assert lint_source(lingering, module_path=SERVING) == []
+    assert "TH009" not in FLOW_CODES
 
 
 def test_th004_covers_allocate_and_free():

@@ -21,7 +21,7 @@ from repro.lint.flow import (
     to_dot,
     to_sarif,
 )
-from repro.lint.flow.engine import CODE_ALIASES, DEFAULT_BASELINE
+from repro.lint.flow.engine import DEFAULT_BASELINE
 from repro.lint.flow.rules import all_flow_rules
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -601,23 +601,6 @@ class TestSuppressionsAndBaseline:
         )
         assert codes(run.report.violations) == ["TH010"]
 
-    def test_inline_suppression_via_the_retired_alias(self, serving_tree):
-        # A disable written against TH009 keeps silencing its successor.
-        assert CODE_ALIASES == {"TH009": "TH010"}
-        path = Path(_srv_path(serving_tree))
-        path.write_text(
-            _TRIPPING_SERVING.replace(
-                "time.sleep(1)",
-                "time.sleep(1)  # repro-lint: disable=TH009 -- facade test",
-            )
-        )
-        run = run_flow(
-            [str(serving_tree)],
-            cache=None,
-            baseline=str(serving_tree / "absent.json"),
-        )
-        assert run.report.violations == []
-
     def test_stale_flow_suppression_is_lint002(self, serving_tree):
         path = Path(_srv_path(serving_tree))
         path.write_text(
@@ -642,16 +625,6 @@ class TestSuppressionsAndBaseline:
             "path": _srv_path(serving_tree),
             "line": 5,
             "justification": "fixture: sync facade",
-        }])
-        run = run_flow([str(serving_tree)], cache=None, baseline=baseline)
-        assert run.report.violations == []
-
-    def test_baseline_honours_the_th009_alias(self, serving_tree):
-        baseline = self._baseline(serving_tree, [{
-            "code": "TH009",
-            "path": _srv_path(serving_tree),
-            "line": 5,
-            "justification": "fixture: grandfathered pre-rename",
         }])
         run = run_flow([str(serving_tree)], cache=None, baseline=baseline)
         assert run.report.violations == []
@@ -741,4 +714,3 @@ class TestDogfood:
 
         registered = {r.code for r in all_flow_rules()}
         assert registered <= FLOW_CODES
-        assert set(CODE_ALIASES) <= FLOW_CODES
